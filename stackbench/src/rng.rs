@@ -1,0 +1,32 @@
+//! SplitMix64: the benchmark's own seeded generator for query, command and
+//! delete choices (the dataset generator keeps its own).
+
+#[derive(Debug, Clone)]
+pub struct SplitMix(u64);
+
+impl SplitMix {
+    pub fn new(seed: u64) -> Self {
+        Self(seed)
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: u64) -> u64 {
+        ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
+    }
+
+    /// Fisher-Yates shuffle.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.below(i as u64 + 1) as usize;
+            items.swap(i, j);
+        }
+    }
+}
